@@ -38,7 +38,7 @@ struct MeasuredRun {
   std::vector<dd::BlockTiming> blocks;
 };
 
-MeasuredRun run_filter(dd::SlabEngine<double>& eng, la::Matrix<double>& X,
+MeasuredRun run_filter(dd::RankEngine<double>& eng, la::Matrix<double>& X,
                        const la::Matrix<double>& X0, int degree, double a, double b,
                        double a0, int reps) {
   MeasuredRun best;
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   popt.mode = dd::EngineMode::sync;
   double step_compute = 0.0;
   {
-    dd::SlabEngine<double> probe(dofh, popt);
+    dd::RankEngine<double> probe(dofh, popt);
     probe.set_potential(H.potential());
     const auto r = run_filter(probe, X, X0, cheb_degree, a, b, a0, 2);
     for (const auto& blk : r.blocks) step_compute += blk.compute;
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   opt.model.bandwidth_bytes_per_s =
       static_cast<double>(bytes) / std::max(delay - opt.model.latency_s, 1e-6);
 
-  dd::SlabEngine<double> eng(dofh, opt);
+  dd::RankEngine<double> eng(dofh, opt);
   eng.set_potential(H.potential());
   eng.set_mode(dd::EngineMode::sync);
   const auto sync = run_filter(eng, X, X0, cheb_degree, a, b, a0, reps);
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     ks::Hamiltonian<double> sH(sdofh);
     sH.set_potential(std::vector<double>(sdofh.ndofs(), -0.3));
     const index_t N = 192;
-    dd::SlabPartition part(sdofh, 16);
+    const index_t plane = sdofh.naxis(0) * sdofh.naxis(1);  // dofs per z-plane
     dd::CommModel net;
     net.bandwidth_bytes_per_s = 5e9;  // congested-network regime: comm visible
 
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
       s.initialize_random(9);
       s.cycle();
       // Per-block exchange time: 2 interface faces per apply, `degree` applies.
-      const index_t wire = 2 * part.plane_size() * bf * 4 * 2;  // FP32 wire
+      const index_t wire = 2 * plane * bf * 4 * 2;  // FP32 wire
       std::vector<dd::BlockTiming> blocks;
       for (const auto& bt : s.cf_block_timings())
         blocks.push_back({bt.compute, copt.cheb_degree * net.time(wire, 4)});

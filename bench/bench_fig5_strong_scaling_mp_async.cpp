@@ -124,7 +124,7 @@ int main() {
   // ---- Measured strong scaling on the threaded rank engine ----
   // The modeled study above plays Summit-scale schedules on paper; this
   // section runs the real thing at this machine's scale: the same Chebyshev
-  // filter through dd::SlabEngine at 1/2/4 lanes (one std::thread per slab
+  // filter through dd::RankEngine at 1/2/4 lanes (one std::thread per slab
   // rank, halos through the double-buffered mailboxes), wall time measured.
   // Scaling tops out at the physical core count of the host.
   {
@@ -148,7 +148,7 @@ int main() {
       eopt.nlanes = lanes;
       eopt.grid = {1, 1, lanes};  // pin z-slabs: this figure models the slab layout
       eopt.mode = dd::EngineMode::async;
-      dd::SlabEngine<double> eng(edofh, eopt);
+      dd::RankEngine<double> eng(edofh, eopt);
       eng.set_potential(eH.potential());
       double wall = 0.0;
       for (int rep = 0; rep < 3; ++rep) {

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) of the hot kernels: dense GEMM,
 // strided-batched cell GEMM, the full cell-level Hamiltonian apply
 // (gather + batched GEMM + assembly), mixed-precision GEMM, and the
-// FP32/FP64 wire pack. These are the building blocks whose throughputs the
+// FP64/FP32/BF16 halo wire pack. These are the building blocks whose throughputs the
 // table/figure benches aggregate.
 //
 // Unlike the plain BENCHMARK_MAIN() harness, this binary runs with a
@@ -12,7 +12,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "dd/exchange.hpp"
@@ -97,17 +99,46 @@ static void BM_MixedPrecisionGemm(benchmark::State& state) {
 BENCHMARK(BM_MixedPrecisionGemm)->Arg(256);
 
 static void BM_WirePack(benchmark::State& state) {
-  const bool fp32 = state.range(0) == 32;
+  // The halo pack a lane runs per exchanged panel: demote every column into
+  // the wire buffer, then promote it back out (the FP64 wire is a plain
+  // copy). Arg = wire bits (64 / 32 / 16 = BF16). Panel shape: 8 z-plane
+  // interfaces of a periodic 4-cell p4 mesh x 64 columns.
+  const dd::Wire wire = state.range(0) == 32   ? dd::Wire::fp32
+                        : state.range(0) == 16 ? dd::Wire::bf16
+                                               : dd::Wire::fp64;
   static fe::Mesh mesh = fe::make_uniform_mesh(10.0, 4, true);
   static fe::DofHandler dofh(mesh, 4);
-  static dd::SlabPartition part(dofh, 8);
-  dd::BoundaryExchange<double> ex(part, fp32 ? dd::Wire::fp32 : dd::Wire::fp64);
-  la::MatrixD X(dofh.ndofs(), 64);
-  for (auto _ : state) ex.exchange(X);
-  state.counters["GB/s"] = benchmark::Counter(
-      static_cast<double>(ex.stats().bytes) / 1e9, benchmark::Counter::kIsRate);
+  const index_t rows = dofh.naxis(0) * dofh.naxis(1), cols = 64, planes = 8;
+  la::MatrixD X(dofh.ndofs(), cols);
+  for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.37 * i);
+  std::vector<double> w64(static_cast<std::size_t>(rows * cols));
+  std::vector<float> w32(w64.size());
+  std::vector<la::bf16_t> wbf(w64.size());
+  for (auto _ : state) {
+    for (index_t p = 0; p < planes; ++p) {
+      const index_t lo = (dofh.naxis(2) * p / planes) * rows;
+      for (index_t j = 0; j < cols; ++j) {
+        const double* x = X.col(j) + lo;
+        if (wire == dd::Wire::fp32) la::demote<double>(x, w32.data() + j * rows, rows);
+        else if (wire == dd::Wire::bf16) la::demote_bf16<double>(x, wbf.data() + j * rows, rows);
+        else std::copy(x, x + rows, w64.data() + j * rows);
+      }
+      for (index_t j = 0; j < cols; ++j) {
+        double* x = X.col(j) + lo;
+        if (wire == dd::Wire::fp32) la::promote<double>(w32.data() + j * rows, x, rows);
+        else if (wire == dd::Wire::bf16) la::promote_bf16<double>(wbf.data() + j * rows, x, rows);
+        else std::copy(w64.data() + j * rows, w64.data() + (j + 1) * rows, x);
+      }
+    }
+    benchmark::DoNotOptimize(X.data());
+    benchmark::ClobberMemory();
+  }
+  // Send + receive of every panel, as the halo ledger counts them.
+  const double bytes = 2.0 * planes * dd::halo_packet_bytes<double>(rows * cols, wire);
+  state.counters["GB/s"] =
+      benchmark::Counter(bytes * state.iterations() / 1e9, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_WirePack)->Arg(64)->Arg(32);
+BENCHMARK(BM_WirePack)->Arg(64)->Arg(32)->Arg(16);
 
 namespace {
 

@@ -17,18 +17,12 @@
 # variables, and tests/CMakeLists.txt attaches them to every registered test
 # so `ctest` in a sanitizer build picks them up without shell setup.
 #
-# OpenMP-aware TSan handling: GCC's libgomp is not TSan-instrumented, so TSan
-# cannot see the happens-before edges of OpenMP barriers and reports false
-# races between correctly-synchronized worker iterations. Two measures keep
-# the TSan gate signal-bearing rather than noise-suppressed:
-#   * tools/sanitizers/tsan.supp silences reports originating inside libgomp
-#     itself (runtime-internal state, not user code);
-#   * the concurrency stress suite (tests/test_race.cpp) drives cross-thread
-#     interleavings with std::thread — fully TSan-visible — and pins OpenMP
-#     to one thread per team when built under TSan (__SANITIZE_THREAD__), so
-#     user-code races are never masked by runtime false positives.
-# With an instrumented OpenMP runtime (e.g. clang's libomp built with TSan
-# support) the pinning is unnecessary; the suppressions stay harmless.
+# TSan and threading: the only threads in the project are std::threads —
+# the rank engine's brick lanes and the job service's workers. The kernels
+# run on the calling thread (tools/lint_invariants.py rule omp-region keeps
+# OpenMP parallel regions out of src/; `omp simd` hints start no thread), so
+# every happens-before edge TSan needs is one it can see, and the
+# concurrency stress suite (tests/test_race.cpp) runs unpinned.
 
 set(DFTFE_SANITIZE "" CACHE STRING
     "Sanitizer set: empty, 'address;undefined', 'thread', or 'leak'")
@@ -96,8 +90,9 @@ if(NOT DFTFE_SANITIZE STREQUAL "")
   add_link_options(${_dftfe_san_flags})
 
   if(_dftfe_has_thread)
-    # Visible to sources as well (gcc also predefines __SANITIZE_THREAD__):
-    # test_race uses it to pin OpenMP team sizes, see header comment above.
+    # Visible to sources as well: src/base/sanitizer_defaults.cpp keys its
+    # __tsan_default_options() hook on it (gcc also predefines
+    # __SANITIZE_THREAD__; clang does not).
     add_compile_definitions(DFTFE_TSAN=1)
   endif()
 

@@ -29,7 +29,7 @@ class Timer {
 };
 
 /// Accumulates (count, total seconds) per named section. Mutex-guarded so
-/// OpenMP-parallel sections and the obs span tracer can record concurrently;
+/// concurrent lanes, workers and the obs span tracer can record at once;
 /// the lock sits on the (rare) section-completion path, never inside Timer.
 class ProfileRegistry {
  public:

@@ -40,7 +40,7 @@ struct SimulationOptions {
   std::map<atoms::Species, double> z_override;
   /// Execution backend for the whole solver stack (eigensolver stages,
   /// density accumulation, Poisson stiffness applies): serial single-image
-  /// or threaded slab-rank lanes. Copied into scf.backend by run(); set
+  /// or threaded rank lanes. Copied into scf.backend by run(); set
   /// scf.backend directly only to diverge from this top-level choice.
   dd::BackendOptions backend;
   /// When non-empty, run() writes the RunReport flight-recorder artifact

@@ -5,24 +5,22 @@
 // scaling (Fig. 5, Table 3) comes from running the *entire* SCF — Hamiltonian
 // applies, the Chebyshev filter, the CholGS/RR reductions, the density build,
 // and the Hartree Poisson solve — under one distributed execution model;
-// per-kernel opt-ins (the old ChebyshevFilteredSolver::set_engine) leave
-// Amdahl's law in charge. Two implementations:
+// per-kernel opt-ins leave Amdahl's law in charge. Two implementations:
 //
 //   * SerialBackend — reproduces today's single-image arithmetic *bitwise*:
 //     the fused Chebyshev recurrence, la::overlap_hermitian_mixed, and the
 //     DC row loop are the exact statements the ks/ layer ran before the
 //     refactor, so a serial-backend SCF is indistinguishable from the seed.
-//   * ThreadedBackend — wraps dd::SlabEngine: every stage executes
-//     slab-decomposed across the engine's lanes with real halo exchange
-//     (filter/apply), slab-local partial Gram reductions (overlap), and
+//   * ThreadedBackend — wraps dd::RankEngine: every stage executes
+//     brick-decomposed across the engine's lanes with real halo exchange
+//     (filter/apply), brick-local partial Gram reductions (overlap), and
 //     disjoint owned-row density accumulation.
 //
 // Layering: dd sits below ks, so the backend cannot name ks::Hamiltonian.
 // The serial backend instead borrows the operator through a FusedApplyFn
 // hook (bound to Hamiltonian::apply_fused by ks/, or to a bare
 // fe::CellStiffness by the Poisson factory below); the threaded backend
-// rebuilds the operator slab-locally from the DofHandler exactly like the
-// engine always has. Hot entry points are inline in this header so the
+// rebuilds the operator brick-locally from the DofHandler. Hot entry points are inline in this header so the
 // invariant linter's no-allocation rule covers the per-iteration code.
 
 #include <functional>
@@ -200,7 +198,6 @@ class SerialBackend final : public ExecBackend<T> {
                           double weight, std::vector<double>& rho) override {
     const index_t n = X.rows();
     const double* mass = dofh_->mass().data();
-#pragma omp parallel for
     for (index_t i = 0; i < n; ++i) {
       double s = 0.0;
       for (index_t j = 0; j < X.cols(); ++j)
@@ -218,8 +215,8 @@ class SerialBackend final : public ExecBackend<T> {
   la::WorkMatrix<T> vec_in_, vec_out_;     // single-vector apply buffers
 };
 
-/// Multi-rank backend: every stage runs slab-decomposed on the wrapped
-/// SlabEngine's lanes (see dd/engine.hpp for the execution model).
+/// Multi-rank backend: every stage runs brick-decomposed on the wrapped
+/// RankEngine's lanes (see dd/engine.hpp for the execution model).
 template <class T>
 class ThreadedBackend final : public ExecBackend<T> {
  public:
@@ -227,7 +224,7 @@ class ThreadedBackend final : public ExecBackend<T> {
 
   const char* name() const override { return "threaded"; }
   int nlanes() const override { return engine_.nlanes(); }
-  SlabEngine<T>& engine() { return engine_; }
+  RankEngine<T>& engine() { return engine_; }
 
   void set_potential(const std::vector<double>& v_eff) override {
     if (hamiltonian_) engine_.set_potential(v_eff);
@@ -269,14 +266,14 @@ class ThreadedBackend final : public ExecBackend<T> {
 
  private:
   bool hamiltonian_;
-  SlabEngine<T> engine_;
+  RankEngine<T> engine_;
   la::WorkMatrix<T> vec_in_, vec_out_;  // single-vector apply buffers
 };
 
 /// Backend for a k-point Hamiltonian. Serial: wraps the caller's fused-apply
 /// hook (bind ks::Hamiltonian::apply_fused); potential updates stay with the
 /// Hamiltonian, so `serial_set_potential` is usually empty. Threaded: builds
-/// the slab-decomposed Hamiltonian lanes from the DofHandler and `kpoint`.
+/// the brick-decomposed Hamiltonian lanes from the DofHandler and `kpoint`.
 template <class T>
 std::unique_ptr<ExecBackend<T>> make_backend(
     const fe::DofHandler& dofh, const BackendOptions& opt, FusedApplyFn<T> serial_apply,
@@ -286,7 +283,7 @@ std::unique_ptr<ExecBackend<T>> make_backend(
 /// Backend for the Poisson stiffness (coef_lap = 1, no mass/potential
 /// epilogue). Serial: borrows `K` and keeps the pre-refactor vector-path
 /// arithmetic (y = K x via CellStiffness::apply_add) bitwise. Threaded:
-/// slab-decomposes the stiffness across lanes.
+/// brick-decomposes the stiffness across lanes.
 std::unique_ptr<ExecBackend<double>> make_stiffness_backend(
     const fe::DofHandler& dofh, const BackendOptions& opt,
     const fe::CellStiffness<double>& K);

@@ -15,10 +15,6 @@
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace dftfe::dd {
 
 namespace {
@@ -81,7 +77,7 @@ void RankEngine<T>::build_lanes() {
   // opposite-direction mailbox. Inactive directions leave their channel
   // unused (never init'd, never touched). A periodic axis with a single
   // brick wires a direction's send channel back to the same lane
-  // (self-exchange), matching the slab engine's single-rank periodic wrap.
+  // (self-exchange).
   channels_.resize(static_cast<std::size_t>(R) * kDirs);
   for (auto& ch : channels_) ch = std::make_unique<HaloChannel<T>>();
   auto chan = [&](int r, int di) {
@@ -283,12 +279,6 @@ void RankEngine<T>::start_lanes() {
 
 template <class T>
 void RankEngine<T>::lane_main(int r) {
-#ifdef _OPENMP
-  // The cell kernels' inner `omp parallel for` must not spawn a team per
-  // lane: lane-level concurrency replaces OpenMP scaling inside the engine.
-  // num_threads is a per-thread ICV, so this pins only this lane.
-  omp_set_num_threads(1);
-#endif
   std::uint64_t seen = 0;
   for (;;) {
     Job job;

@@ -55,10 +55,11 @@
 // lane grid, the association order CommModel::allreduce_time charges for —
 // instead of a flat all-to-lane-0 sum.
 //
-// Threading contract: lanes pin their OpenMP team to one thread (the GEMM
-// kernels' inner `parallel for` would otherwise oversubscribe), so
-// lane-level concurrency replaces OpenMP scaling when the engine is active.
-// Pick nlanes ≈ physical cores for throughput; the public entry points
+// Threading contract: the lanes are the only parallelism inside a job. Every
+// kernel a lane calls (la/, fe/cell_ops) runs on the calling thread, so a
+// lane is exactly one core's worth of work — the analog of one MPI rank in
+// the paper — and the job service's workers are the only parallelism above
+// it. Pick nlanes ≈ physical cores for throughput; the public entry points
 // (apply / filter_block / set_potential / set_mode) must be called from one
 // driver thread. A lane failure poisons its mailboxes so every lane (and the
 // submitter) unblocks; the first exception is rethrown on the driver thread
@@ -718,10 +719,5 @@ class RankEngine {
 
 extern template class RankEngine<double>;
 extern template class RankEngine<complex_t>;
-
-/// Historical name: the slab engine is the {1, 1, N} special case of the
-/// brick rank engine. Existing call sites keep compiling unchanged.
-template <class T>
-using SlabEngine = RankEngine<T>;
 
 }  // namespace dftfe::dd

@@ -128,7 +128,6 @@ void CellStiffness<T>::apply_add(const la::Matrix<T>& X, la::Matrix<T>& Y) const
     for (index_t c0 = 0; c0 < ncg; c0 += chunk_cells_) {
       const index_t nc = std::min(chunk_cells_, ncg - c0);
       // Gather: cell-local blocks Xc[:, b*B:(b+1)*B] = X[dofs(cell_b), :].
-#pragma omp parallel for schedule(static)
       for (index_t b = 0; b < nc; ++b) {
         const index_t* dofs = cell_dof_map_.data() + g.cells[c0 + b] * nd;
         for (index_t j = 0; j < B; ++j) {
@@ -140,9 +139,7 @@ void CellStiffness<T>::apply_add(const la::Matrix<T>& X, la::Matrix<T>& Y) const
       // Batched dense apply with the shared group matrix (stride 0).
       la::gemm_strided_batched<T>('N', 'N', nd, B, nd, T(1), g.A.data(), nd, 0, Xc.data(), nd,
                                   nd * B, T(0), Yc.data(), nd, nd * B, nc);
-      // Scatter (Assembly_FE): parallel over columns so no two threads write
-      // the same (dof, column) entry.
-#pragma omp parallel for schedule(static)
+      // Scatter (Assembly_FE).
       for (index_t j = 0; j < B; ++j) {
         T* dst = Y.col(j);
         for (index_t b = 0; b < nc; ++b) {
@@ -186,7 +183,6 @@ void CellStiffness<T>::apply_add_sumfac(const la::Matrix<T>& X, la::Matrix<T>& Y
       const index_t nc = std::min(chunk_cells_, ncg - c0);
       const index_t pairs = nc * B;
       // Gather cell-local vectors.
-#pragma omp parallel for schedule(static)
       for (index_t b = 0; b < nc; ++b) {
         const index_t* dofs = cell_dof_map_.data() + g.cells[c0 + b] * nd;
         for (index_t j = 0; j < B; ++j) {
@@ -204,11 +200,9 @@ void CellStiffness<T>::apply_add_sumfac(const la::Matrix<T>& X, la::Matrix<T>& Y
       // z-direction: Sz[p] = U[p] * K1 with U[p] viewed as n^2 x n.
       la::gemm_strided_batched<T>('N', 'N', n2, n, n, T(1), U.data(), n2, nd, k1s_.data(), n,
                                   0, T(0), Sz.data(), n2, nd, pairs);
-      // Weighted combination + assembly, fused into the scatter sweep
-      // (parallel over columns so no two threads write the same entry).
+      // Weighted combination + assembly, fused into the scatter sweep.
       FlopCounter::global().add(6.0 * static_cast<double>(nd) * pairs *
                                 scalar_traits<T>::flop_factor);
-#pragma omp parallel for schedule(static)
       for (index_t j = 0; j < B; ++j) {
         T* dst = Y.col(j);
         for (index_t b = 0; b < nc; ++b) {
@@ -255,34 +249,28 @@ void CellStiffness<T>::apply_add_sumfac_scalar(const la::Matrix<T>& X, la::Matri
                             static_cast<double>(dofh_->mesh().ncells_total()) * B *
                             scalar_traits<T>::flop_factor);
 
-#pragma omp parallel
-  {
-    std::vector<T> u(nd), yl(nd);
-    // Parallel over columns only: each column's scatter targets are then
-    // owned by one thread (no assembly races across geometry groups).
-#pragma omp for schedule(static)
-    for (index_t jcol = 0; jcol < B; ++jcol) {
-      for (const Group& g : groups_) {
-        for (const index_t cell : g.cells) {
-          const index_t* dofs = cell_dof_map_.data() + cell * nd;
-          const T* src = X.col(jcol);
-          for (index_t a = 0; a < nd; ++a) u[a] = src[dofs[a]];
-          // y = cxx (K1 (x) M (x) M) u + cyy (M (x) K1 (x) M) u + czz (...).
-          for (int k = 0; k < n; ++k)
-            for (int j = 0; j < n; ++j)
-              for (int i = 0; i < n; ++i) {
-                T sx{}, sy{}, sz{};
-                for (int m = 0; m < n; ++m) {
-                  sx += T(k1_(i, m)) * u[idx(m, j, k)];
-                  sy += T(k1_(j, m)) * u[idx(i, m, k)];
-                  sz += T(k1_(k, m)) * u[idx(i, j, m)];
-                }
-                yl[idx(i, j, k)] = T(g.cxx * w[j] * w[k]) * sx + T(g.cyy * w[i] * w[k]) * sy +
-                                   T(g.czz * w[i] * w[j]) * sz;
+  std::vector<T> u(nd), yl(nd);
+  for (index_t jcol = 0; jcol < B; ++jcol) {
+    for (const Group& g : groups_) {
+      for (const index_t cell : g.cells) {
+        const index_t* dofs = cell_dof_map_.data() + cell * nd;
+        const T* src = X.col(jcol);
+        for (index_t a = 0; a < nd; ++a) u[a] = src[dofs[a]];
+        // y = cxx (K1 (x) M (x) M) u + cyy (M (x) K1 (x) M) u + czz (...).
+        for (int k = 0; k < n; ++k)
+          for (int j = 0; j < n; ++j)
+            for (int i = 0; i < n; ++i) {
+              T sx{}, sy{}, sz{};
+              for (int m = 0; m < n; ++m) {
+                sx += T(k1_(i, m)) * u[idx(m, j, k)];
+                sy += T(k1_(j, m)) * u[idx(i, m, k)];
+                sz += T(k1_(k, m)) * u[idx(i, j, m)];
               }
-          T* dst = Y.col(jcol);
-          for (index_t a = 0; a < nd; ++a) dst[dofs[a]] += yl[a];
-        }
+              yl[idx(i, j, k)] = T(g.cxx * w[j] * w[k]) * sx + T(g.cyy * w[i] * w[k]) * sy +
+                                 T(g.czz * w[i] * w[j]) * sz;
+            }
+        T* dst = Y.col(jcol);
+        for (index_t a = 0; a < nd; ++a) dst[dofs[a]] += yl[a];
       }
     }
   }

@@ -78,7 +78,6 @@ std::array<double, 3> DofHandler::dof_point(index_t g) const {
 double DofHandler::integrate(const std::vector<double>& f) const {
   double s = 0.0;
   const index_t n = ndofs();
-#pragma omp parallel for reduction(+ : s) if (n > 16384)
   for (index_t i = 0; i < n; ++i) s += mass_[i] * f[i];
   return s;
 }

@@ -28,10 +28,8 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
     // Neutralizing background: remove the mean charge so K phi = rhs is
     // consistent; gauge-fix phi to zero mean afterwards.
     double q = 0.0;
-#pragma omp parallel for reduction(+ : q)
     for (index_t i = 0; i < n; ++i) q += mass[i] * rho[i];
     const double mean = q / volume;
-#pragma omp parallel for
     for (index_t i = 0; i < n; ++i) rhs[i] = 4.0 * kPi * mass[i] * (rho[i] - mean);
 
     auto op = [&](const std::vector<double>& x, std::vector<double>& y) {
@@ -39,24 +37,20 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
     };
     auto prec = [&](const std::vector<double>& r, std::vector<double>& z) {
       z.resize(n);
-#pragma omp parallel for
       for (index_t i = 0; i < n; ++i) z[i] = r[i] / kdiag[i];
     };
     auto rep = la::pcg<double>(op, prec, rhs, phi, tol, maxit);
     obs::MetricsRegistry::global().series_append("poisson.iterations", rep.iterations);
     // Remove the constant nullspace component.
     double pmean = 0.0;
-#pragma omp parallel for reduction(+ : pmean)
     for (index_t i = 0; i < n; ++i) pmean += mass[i] * phi[i];
     pmean /= volume;
-#pragma omp parallel for
     for (index_t i = 0; i < n; ++i) phi[i] -= pmean;
     return rep;
   }
 
   // Isolated: Dirichlet boundary phi_b = Q / |r - center| (monopole far field).
   double q = 0.0;
-#pragma omp parallel for reduction(+ : q)
   for (index_t i = 0; i < n; ++i) q += mass[i] * rho[i];
   const auto& mesh = dofh_->mesh();
   const double cx = 0.5 * (mesh.axis(0).nodes.front() + mesh.axis(0).nodes.back());
@@ -73,7 +67,6 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
   // rhs = 4 pi M rho - K g on the interior; boundary handled by masking.
   std::vector<double> Kg;
   apply_stiffness(g, Kg);
-#pragma omp parallel for
   for (index_t i = 0; i < n; ++i)
     rhs[i] = (bmask[i] != 0.0) ? 0.0 : 4.0 * kPi * mass[i] * rho[i] - Kg[i];
 
@@ -89,16 +82,13 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
   };
   auto prec = [&](const std::vector<double>& r, std::vector<double>& z) {
     z.resize(n);
-#pragma omp parallel for
     for (index_t i = 0; i < n; ++i) z[i] = r[i] / kdiag[i];
   };
   // Interior solve with homogeneous boundary, then add the lift g.
   std::vector<double> u(n, 0.0);
-#pragma omp parallel for
   for (index_t i = 0; i < n; ++i) u[i] = (bmask[i] != 0.0) ? 0.0 : phi[i] - g[i];
   auto rep = la::pcg<double>(op, prec, rhs, u, tol, maxit);
   obs::MetricsRegistry::global().series_append("poisson.iterations", rep.iterations);
-#pragma omp parallel for
   for (index_t i = 0; i < n; ++i) phi[i] = u[i] + g[i];
   return rep;
 }

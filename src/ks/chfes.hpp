@@ -172,7 +172,7 @@ class ChebyshevFilteredSolver {
       Timer block_timer;
       const index_t nb = std::min(Bf, N - j0);
       // The backend runs the identical recurrence (serial: the same fused
-      // three-block rotation the solver used to inline; threaded: per slab
+      // three-block rotation the solver used to inline; threaded: per brick
       // lane with real halo exchange). `comm` is the *modeled* interconnect
       // time of the exchanged packets (0 when serial) — the measured wall
       // time is the block timer, so overlap shows up as their gap.

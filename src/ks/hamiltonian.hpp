@@ -20,13 +20,12 @@
 // would inflate the Chebyshev filter's spectrum bound and destroy its
 // convergence rate.
 //
-// An optional dd::BoundaryExchange can be attached: each block apply then
-// re-transmits partition-interface planes through the (possibly FP32) wire,
-// emulating the distributed CF step and accumulating communication stats.
+// This is the undecomposed operator; the distributed apply with real halo
+// exchange is dd::RankEngine (dd/engine.hpp), reached through the
+// ExecBackend seam.
 
 #include <memory>
 
-#include "dd/exchange.hpp"
 #include "fe/cell_ops.hpp"
 #include "fe/dofs.hpp"
 #include "la/matrix.hpp"
@@ -53,7 +52,6 @@ class Hamiltonian {
   void set_potential(std::vector<double> v_eff) { v_eff_ = std::move(v_eff); }
   const std::vector<double>& potential() const { return v_eff_; }
 
-  void attach_exchange(dd::BoundaryExchange<T>* ex) { exchange_ = ex; }
   fe::CellStiffness<T>& kinetic() { return kinetic_; }
 
   /// Y = H X for a block of vectors (boundary components projected out).
@@ -73,7 +71,6 @@ class Hamiltonian {
     const index_t n = X.rows(), B = X.cols();
     const auto& bmask = dofh_->boundary_mask();
     la::Matrix<T>& S = scaled_.acquire(n, B);
-#pragma omp parallel for
     for (index_t j = 0; j < B; ++j)
       for (index_t i = 0; i < n; ++i)
         S(i, j) = X(i, j) * T(inv_sqrt_mass_[i] * (1.0 - bmask[i]));
@@ -81,13 +78,11 @@ class Hamiltonian {
     Y.zero();
     kinetic_.apply_add(S, Y);
     if (Z == nullptr && c == 0.0 && scale == 1.0) {
-#pragma omp parallel for
       for (index_t j = 0; j < B; ++j)
         for (index_t i = 0; i < n; ++i)
           Y(i, j) = (Y(i, j) * T(inv_sqrt_mass_[i]) + T(v_eff_[i]) * X(i, j)) *
                     T(1.0 - bmask[i]);
     } else if (Z == nullptr) {
-#pragma omp parallel for
       for (index_t j = 0; j < B; ++j)
         for (index_t i = 0; i < n; ++i) {
           const T h = (Y(i, j) * T(inv_sqrt_mass_[i]) + T(v_eff_[i]) * X(i, j)) *
@@ -95,7 +90,6 @@ class Hamiltonian {
           Y(i, j) = T(scale) * (h - T(c) * X(i, j));
         }
     } else {
-#pragma omp parallel for
       for (index_t j = 0; j < B; ++j)
         for (index_t i = 0; i < n; ++i) {
           const T h = (Y(i, j) * T(inv_sqrt_mass_[i]) + T(v_eff_[i]) * X(i, j)) *
@@ -103,7 +97,6 @@ class Hamiltonian {
           Y(i, j) = T(scale) * (h - T(c) * X(i, j)) - T(zc) * (*Z)(i, j);
         }
     }
-    if (exchange_ != nullptr) exchange_->exchange(Y);
   }
 
   /// y = H x for a single vector (Lanczos/MINRES path); allocation-free in
@@ -138,7 +131,6 @@ class Hamiltonian {
   fe::CellStiffness<T> kinetic_;
   std::vector<double> inv_sqrt_mass_;
   std::vector<double> v_eff_;
-  dd::BoundaryExchange<T>* exchange_ = nullptr;
   // Persistent workspace: block applies are const but reuse this scratch, so
   // concurrent applies on one Hamiltonian are not supported (each k-point /
   // thread owns its own instance, as the SCF driver already arranges).

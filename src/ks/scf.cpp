@@ -64,7 +64,6 @@ void KohnShamDFT<T>::set_nuclei(const std::vector<GaussianCharge>& nuclei,
   for (const auto& nuc : nuclei) {
     const double norm = nuc.Z / (std::pow(kPi, 1.5) * nuc.rc * nuc.rc * nuc.rc);
     const double cutoff = 8.0 * nuc.rc;
-#pragma omp parallel for
     for (index_t g = 0; g < n; ++g) {
       const auto p = dofh_->dof_point(g);
       const auto d = min_image(mesh, {p[0] - nuc.center[0], p[1] - nuc.center[1],
@@ -189,7 +188,7 @@ void KohnShamDFT<T>::update_effective_potential() {
   for (index_t i = 0; i < dofh_->ndofs(); ++i) v_eff_[i] = v_es[i] + vxc[i];
   for (auto& h : hams_) h->set_potential(v_eff_);
   // Fan the refreshed potential out to the execution backends (threaded
-  // lanes keep their own slab-local slices; serial backends no-op — the
+  // lanes keep their own brick-local slices; serial backends no-op — the
   // Hamiltonian update above already covers them).
   for (auto& be : backends_) be->set_potential(v_eff_);
 }
@@ -248,7 +247,6 @@ std::vector<double> KohnShamDFT<T>::compute_density(double mu) {
       backends_[ik]->accumulate_density(X, f, kpts_[ik].weight, rho);
       continue;
     }
-#pragma omp parallel for
     for (index_t i = 0; i < n; ++i) {
       double s = 0.0;
       for (index_t j = 0; j < X.cols(); ++j)
@@ -322,7 +320,7 @@ ScfResult KohnShamDFT<T>::solve() {
     solvers_[ik]->initialize_random(opt_.seed + static_cast<unsigned>(ik));
     // The serial backend borrows the Hamiltonian's fused apply; potential
     // updates reach it through the Hamiltonian itself (empty hook). The
-    // threaded backend rebuilds the operator slab-locally from the dofs.
+    // threaded backend rebuilds the operator brick-locally from the dofs.
     Hamiltonian<T>* h = hams_[ik].get();
     // lint: allow(hot-path-alloc): per-solve setup, outside the iteration loop
     backends_.push_back(dd::make_backend<T>(
@@ -571,7 +569,6 @@ std::vector<std::array<double, 3>> KohnShamDFT<T>::forces() const {
     const double norm = nuc.Z / (std::pow(kPi, 1.5) * nuc.rc * nuc.rc * nuc.rc);
     const double cutoff2 = 64.0 * nuc.rc * nuc.rc;
     double fx = 0.0, fy = 0.0, fz = 0.0;
-#pragma omp parallel for reduction(+ : fx, fy, fz)
     for (index_t g = 0; g < n; ++g) {
       const auto p = dofh_->dof_point(g);
       const auto d = min_image(mesh, {p[0] - nuc.center[0], p[1] - nuc.center[1],

@@ -59,7 +59,7 @@ struct ScfOptions {
   unsigned seed = 42;
   // Execution backend for every solver stage (per-k ChFES cycles, density
   // accumulation, Poisson stiffness applies): serial (bitwise-identical to
-  // the pre-backend code) or threaded slab-rank lanes.
+  // the pre-backend code) or threaded rank lanes.
   dd::BackendOptions backend;
   // End-of-iteration hook, invoked on the driver thread after iteration
   // `completed` (1-based) has fully updated the solver state (mixed density,

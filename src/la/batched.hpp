@@ -5,10 +5,10 @@
 //   Y^b = Assembly_FE { H_ci * X_ci^b }
 // is a batch of many small dense GEMMs, one per finite-element cell. On GPUs
 // these saturate the device via fine-grained parallelism; here each batch
-// member is small enough to stay in cache, and OpenMP parallelizes across
-// batch members.
-
-#include <omp.h>
+// member is small enough to stay in cache and the batch runs on the calling
+// thread. CPU parallelism is one level up: each brick lane of the rank engine
+// (dd/engine.hpp) issues the batch for its own cells, as each MPI rank does
+// in the paper.
 
 #include "base/defs.hpp"
 #include "base/flops.hpp"
@@ -45,7 +45,6 @@ void gemm_strided_batched(char transa, char transb, index_t m, index_t n, index_
     }
   };
 
-#pragma omp parallel for schedule(static)
   for (index_t b = 0; b < batch; ++b) {
     const T* Ab = A + b * strideA;
     const T* Bb = B + b * strideB;
@@ -64,8 +63,8 @@ void gemm_strided_batched(char transa, char transb, index_t m, index_t n, index_
     // feeds four outputs (this is where the block-size-dependent arithmetic
     // intensity of the cell-level GEMMs comes from).
     if (!ta && !tb) {
-      index_t j = 0;
-      for (; j + 3 < n; j += 4) {
+      const index_t n4 = n - n % 4;  // columns covered by the 4-wide kernel
+      for (index_t j = 0; j < n4; j += 4) {
         T* c0 = Cb + j * ldc;
         T* c1 = c0 + ldc;
         T* c2 = c1 + ldc;
@@ -85,7 +84,7 @@ void gemm_strided_batched(char transa, char transb, index_t m, index_t n, index_
           }
         }
       }
-      for (; j < n; ++j) {
+      for (index_t j = n4; j < n; ++j) {
         T* c = Cb + j * ldc;
         const T* bj = Bb + j * ldb;
         for (index_t kk = 0; kk < k; ++kk) {

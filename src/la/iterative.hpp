@@ -68,7 +68,6 @@ SolveReport pcg(const std::function<void(const std::vector<T>&, std::vector<T>&)
     const T rz_new = dotc(n, r.data(), z.data());
     const T beta = rz_new / rz;
     rz = rz_new;
-#pragma omp parallel for if (n > 8192)
     for (index_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
   }
   rep.residual = nrm2(n, r.data()) / bnorm;

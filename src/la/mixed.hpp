@@ -41,13 +41,11 @@ using low_precision_t = typename low_precision<T>::type;
 
 template <class T>
 void demote(const T* src, low_precision_t<T>* dst, index_t n) {
-#pragma omp parallel for if (n > 8192)
   for (index_t i = 0; i < n; ++i) dst[i] = static_cast<low_precision_t<T>>(src[i]);
 }
 
 template <class T>
 void promote(const low_precision_t<T>* src, T* dst, index_t n) {
-#pragma omp parallel for if (n > 8192)
   for (index_t i = 0; i < n; ++i) dst[i] = static_cast<T>(src[i]);
 }
 
@@ -82,7 +80,6 @@ inline constexpr index_t bf16_units = scalar_traits<T>::is_complex ? 2 : 1;
 
 template <class T>
 void demote_bf16(const T* src, bf16_t* dst, index_t n) {
-#pragma omp parallel for if (n > 8192)
   for (index_t i = 0; i < n; ++i) {
     if constexpr (scalar_traits<T>::is_complex) {
       dst[2 * i] = bf16_from_float(static_cast<float>(src[i].real()));
@@ -106,7 +103,6 @@ inline T bf16_load(const bf16_t* src) {
 
 template <class T>
 void promote_bf16(const bf16_t* src, T* dst, index_t n) {
-#pragma omp parallel for if (n > 8192)
   for (index_t i = 0; i < n; ++i) {
     if constexpr (scalar_traits<T>::is_complex) {
       dst[i] = T(static_cast<typename scalar_traits<T>::real_type>(bf16_to_float(src[2 * i])),
@@ -124,7 +120,6 @@ void promote_bf16(const bf16_t* src, T* dst, index_t n) {
 template <class T>
 void demote_panel(const T* src, index_t ld, index_t rows, index_t cols,
                   low_precision_t<T>* dst) {
-#pragma omp parallel for if (rows * cols > 8192)
   for (index_t j = 0; j < cols; ++j)
     for (index_t i = 0; i < rows; ++i)
       dst[i + j * rows] = static_cast<low_precision_t<T>>(src[i + j * ld]);
@@ -153,13 +148,12 @@ void gemm_low_precision(char transa, char transb, index_t m, index_t n, index_t 
   demote_panel(B, ldb, brows, bcols, Bf.data());
   gemm<L>(transa, transb, m, n, k, L(1), Af.data(), arows, Bf.data(), brows, L(0), Cf.data(),
           m);
-#pragma omp parallel for if (n > 4)
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < m; ++i) C[i + j * ldc] = static_cast<T>(Cf[i + j * m]);
 }
 
 /// Upper-block-triangle of S = A^H B over the rows covered by the spans —
-/// the distributable half of the Hermitian overlap (Algorithm 1). Each slab
+/// the distributable half of the Hermitian overlap (Algorithm 1). Each brick
 /// rank calls this on the span of rows it owns, producing a partial Gram
 /// matrix; summing the partials over ranks (in rank order, for determinism)
 /// and then calling overlap_hermitian_complete reproduces the undecomposed
@@ -175,10 +169,6 @@ void overlap_hermitian_partial(ConstSpan2D<T> A, ConstSpan2D<T> B, Matrix<T>& S,
   S.reshape(N, N);
   const index_t nb = std::max<index_t>(1, std::min(mp_block, N));
   const index_t nblk = (N + nb - 1) / nb;
-  // Block pairs are independent writes; gemm's internal parallel region
-  // degrades to a single-thread team when nested, so the outer collapse is
-  // the effective parallelization across block pairs.
-#pragma omp parallel for collapse(2) schedule(dynamic) if (nblk > 1)
   for (index_t bi = 0; bi < nblk; ++bi)
     for (index_t bj = 0; bj < nblk; ++bj) {
       if (bj < bi) continue;

@@ -72,7 +72,7 @@ std::string json_escape(const std::string& s) {
 
 std::string chrome_trace_json(const TraceRecorder& rec) {
   const auto events = rec.events();
-  // Lane-tagged spans render one row per slab-rank lane: the lane id becomes
+  // Lane-tagged spans render one row per rank lane: the lane id becomes
   // the Chrome tid. Untagged (driver/main) spans keep their OS-thread ids,
   // offset past any plausible lane count so the two namespaces never collide.
   constexpr std::uint32_t kThreadTidBase = 1000;

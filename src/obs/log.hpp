@@ -7,8 +7,8 @@
 //   DFTFE_LOG_AT(obs::level_for(opt.verbose)) << "[relax] step " << it;
 //
 // The message is assembled in a thread-local stream and emitted atomically
-// (one mutex-guarded write per message) so interleaved OpenMP threads never
-// shred each other's lines. Level selection:
+// (one mutex-guarded write per message) so interleaved lane and worker threads
+// never shred each other's lines. Level selection:
 //   * programmatic: obs::Logger::global().set_level(obs::LogLevel::debug)
 //   * environment:  DFTFE_LOG_LEVEL=off|error|warn|info|debug|trace
 // The historical `opt.verbose` flags map onto levels via level_for():

@@ -12,8 +12,8 @@
 // FlopCounter per-step FLOPs, and roll up into the per-run RunReport
 // artifact (obs/report.hpp).
 //
-// All operations are mutex-guarded; recording from OpenMP-parallel sections
-// is safe. Keep calls at per-iteration granularity (not inner loops).
+// All operations are mutex-guarded; recording from concurrent lanes and
+// service workers is safe. Keep calls at per-iteration granularity (not inner loops).
 //
 // Hot-path note: every mutating call takes std::string_view and the maps use
 // transparent comparators (std::less<>), so recording against an existing

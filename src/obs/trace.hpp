@@ -43,7 +43,7 @@ struct TraceEvent {
   std::uint64_t id = 0;       // unique span id (> 0)
   std::uint64_t parent = 0;   // enclosing span id on the same thread (0 = root)
   int depth = 0;              // nesting depth (0 = root)
-  int lane = -1;              // slab-rank lane of a multi-rank span (-1 = none)
+  int lane = -1;              // rank lane of a multi-rank span (-1 = none)
 };
 
 /// Bounded, mutex-guarded event store. Recording is wait-free in the common
@@ -94,7 +94,7 @@ class TraceSpan {
                      TraceRecorder& rec = TraceRecorder::global(),
                      ProfileRegistry& reg = ProfileRegistry::global());
   /// Lane-tagged span: identical to the default constructor, but the
-  /// recorded event carries the slab-rank lane (the per-rank dimension of
+  /// recorded event carries the rank lane (the per-rank dimension of
   /// the Table-3 step breakdown). Aggregate ProfileRegistry totals still
   /// pool over lanes under the span's name.
   TraceSpan(std::string name, std::string category, int lane,

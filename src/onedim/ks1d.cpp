@@ -28,7 +28,6 @@ void KohnSham1D::diagonalize(const qmb::Grid1D& grid, const std::vector<double>&
 std::vector<double> KohnSham1D::hartree(const qmb::Grid1D& grid,
                                         const std::vector<double>& rho, double softening) {
   std::vector<double> vh(grid.n, 0.0);
-#pragma omp parallel for
   for (index_t i = 0; i < grid.n; ++i) {
     double s = 0.0;
     for (index_t j = 0; j < grid.n; ++j)

@@ -26,7 +26,6 @@ void LdaPW92::evaluate(const std::vector<double>& rho, const std::vector<double>
   exc.resize(n);
   vrho.resize(n);
   vsigma.assign(n, 0.0);
-#pragma omp parallel for if (n > 4096)
   for (std::size_t i = 0; i < n; ++i) {
     const double r = std::max(rho[i], 1e-14);
     const double ex = kExLda * std::cbrt(r);

@@ -48,7 +48,6 @@ void GgaPbe::evaluate(const std::vector<double>& rho, const std::vector<double>&
   exc.resize(n);
   vrho.resize(n);
   vsigma.resize(n);
-#pragma omp parallel for if (n > 2048)
   for (std::size_t i = 0; i < n; ++i) {
     const double r = std::max(rho[i], 1e-12);
     const double sg = std::max(sigma.empty() ? 0.0 : sigma[i], 0.0);

@@ -1,12 +1,12 @@
 // Concurrency stress suite for the shared mutable state of the SCF hot path:
 // the trace/metrics/profile registries, the Workspace<T> buffer pool, the
 // mixed-precision overlap kernel, block Hamiltonian applies on per-thread
-// instances, and the emulated halo exchange.
+// instances, the rank engine's lanes and mailboxes, and the job service.
 //
-// Every test here is written with std::thread (not OpenMP) for the
-// cross-thread interleavings, so the synchronization under test is fully
-// visible to ThreadSanitizer even with an uninstrumented libgomp. The suite
-// is meant to run in three build modes:
+// Every cross-thread interleaving here is a std::thread, the same primitive
+// the rank engine's lanes and the service's workers use (the kernels run on
+// the calling thread), so all synchronization under test is fully visible to
+// ThreadSanitizer. The suite is meant to run in three build modes:
 //   * plain builds: functional invariants (sums, pool integrity, determinism
 //     across threads) still assert real behavior;
 //   * DFTFE_SANITIZE=thread: the primary race-detection gate;
@@ -14,7 +14,6 @@
 //     lease/return and swap paths under contention.
 
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <atomic>
 #include <cmath>
@@ -30,7 +29,6 @@
 #include "dd/engine.hpp"
 #include "dd/exchange.hpp"
 #include "dd/mailbox.hpp"
-#include "dd/partition.hpp"
 #include "fe/dofs.hpp"
 #include "fe/mesh.hpp"
 #include "ks/hamiltonian.hpp"
@@ -46,18 +44,6 @@
 
 namespace dftfe {
 namespace {
-
-#if defined(__SANITIZE_THREAD__) || defined(DFTFE_TSAN)
-// GCC's libgomp is not TSan-instrumented: TSan cannot see the happens-before
-// edges of OpenMP barriers and would report false races between correctly
-// synchronized worker iterations inside the kernels the threads below call.
-// Pinning OpenMP teams to one thread keeps this suite's std::thread
-// interleavings — the synchronization actually under test — noise-free.
-// See cmake/Sanitizers.cmake ("OpenMP-aware TSan handling").
-struct PinOpenmpForTsan {
-  PinOpenmpForTsan() { omp_set_num_threads(1); }
-} pin_openmp_for_tsan;
-#endif
 
 constexpr int kThreads = 4;
 
@@ -347,31 +333,6 @@ TEST(RaceKernels, PerThreadHamiltonianAppliesAgree) {
   });
 }
 
-TEST(RaceKernels, ConcurrentHaloExchangesAreIndependent) {
-  const fe::Mesh mesh = fe::make_uniform_mesh(4.0, 3, false);
-  const fe::DofHandler dofh(mesh, 3);
-  const dd::SlabPartition part(dofh, 3);
-
-  la::Matrix<double> X0(dofh.ndofs(), 4);
-  for (index_t i = 0; i < X0.size(); ++i) X0.data()[i] = std::sin(0.37 * i) * 1e3;
-  dd::BoundaryExchange<double> exref(part, dd::Wire::fp32);
-  la::Matrix<double> Xref = X0;
-  exref.exchange(Xref);
-
-  run_threads(kThreads, [&](int) {
-    // Exchange objects hold per-instance wire buffers and stats, so each
-    // thread owns one; the partition is shared immutable geometry.
-    dd::BoundaryExchange<double> ex(part, dd::Wire::fp32);
-    for (int i = 0; i < 50; ++i) {
-      la::Matrix<double> X = X0;
-      ex.exchange(X);
-      ASSERT_EQ(la::max_abs_diff(X, Xref), 0.0);
-    }
-    EXPECT_EQ(ex.stats().bytes, 50 * exref.stats().bytes);
-    EXPECT_EQ(ex.stats().messages, 50 * exref.stats().messages);
-  });
-}
-
 TEST(RaceEngine, MailboxHandoffUnderContention) {
   // Direct SPSC stress of the double-buffered halo mailbox: one producer
   // and one consumer push far more packets than slots, verifying FIFO order
@@ -464,7 +425,7 @@ TEST(RaceEngine, ConcurrentLaneStartupShutdown) {
       dd::EngineOptions opt;
       opt.nlanes = 2 + (i + t) % 3;
       opt.mode = (i % 2 == 0) ? dd::EngineMode::async : dd::EngineMode::sync;
-      dd::SlabEngine<double> eng(dofh, opt);
+      dd::RankEngine<double> eng(dofh, opt);
       if (i % 3 == 2) continue;  // startup immediately followed by shutdown
       eng.set_potential(v);
       la::Matrix<double> Y;
@@ -500,7 +461,7 @@ TEST(RaceEngine, Bf16WireLaneChurn) {
       opt.nlanes = 2 + (i + t) % 3;
       opt.mode = (i % 2 == 0) ? dd::EngineMode::async : dd::EngineMode::sync;
       opt.wire = dd::Wire::bf16;
-      dd::SlabEngine<double> eng(dofh, opt);
+      dd::RankEngine<double> eng(dofh, opt);
       if (i % 3 == 2) continue;  // startup immediately followed by shutdown
       eng.set_potential(v);
       la::Matrix<double> Y;
@@ -565,7 +526,7 @@ TEST(RaceEngine, LaneFaultPropagationUnderContention) {
   run_threads(kThreads, [&](int t) {
     dd::EngineOptions opt;
     opt.nlanes = 4;
-    dd::SlabEngine<double> eng(dofh, opt);
+    dd::RankEngine<double> eng(dofh, opt);
     eng.set_potential(v);
     la::Matrix<double> Y;
     for (int i = 0; i < 10; ++i) {

@@ -50,6 +50,16 @@ Rules (see DESIGN.md "Correctness & analysis tier"):
                    gate must include obs/trace.hpp first (or be trace.hpp),
                    so the macro is always defined.
 
+  omp-region       No OpenMP threading in src/: no `#pragma omp` other than
+                   `#pragma omp simd` (a vectorization hint that starts no
+                   thread), no `omp_*(` runtime call and no `<omp.h>`
+                   include. Brick lanes (dd/engine.hpp) and service workers
+                   (svc/service.hpp) are the only parallelism; a parallel
+                   region inside a kernel would read the per-thread scratch
+                   (`static thread_local` panels) of worker threads that
+                   never sized it, and would multiply the threads a lane
+                   already owns.
+
 Waivers: a line may be exempted from one rule with an inline justification —
 
     some_vector.push_back(x);  // lint: allow(hot-path-alloc): why it is fine
@@ -162,6 +172,11 @@ METRIC_VOCAB = {
 METRIC_PREFIXES = ("comm.lane", "mem.lane", "mem.pool.")
 
 METRIC_NAME_RE = re.compile(r"\"((?:comm|mem|svc|job)\.[^\"]*)\"")
+
+# OpenMP threading constructs (omp-region). `#pragma omp simd` is allowed.
+OMP_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\b(?!\s+simd\b)")
+OMP_CALL_RE = re.compile(r"\bomp_\w+\s*\(")
+OMP_INCLUDE_RE = re.compile(r"#\s*include\s*<omp\.h>")
 
 WAIVER_RE = re.compile(
     r"//\s*lint:\s*allow\(([a-z-]+)"
@@ -323,6 +338,22 @@ def lint_file(path: Path, root: Path, violations: list[Violation],
                         f"{what} in bench harness; benches must be "
                         "reproducible (fixed seeds via base/rng.hpp, "
                         "steady-clock Timer for measurement)"))
+
+    # -- omp-region --
+    if in_src:
+        for idx, line in enumerate(code_lines, start=1):
+            what = None
+            if OMP_PRAGMA_RE.search(line):
+                what = "OpenMP threading pragma (only '#pragma omp simd' is allowed)"
+            elif OMP_CALL_RE.search(line):
+                what = "OpenMP runtime call"
+            elif OMP_INCLUDE_RE.search(line):
+                what = "<omp.h> include"
+            if what and not is_waived(waived, idx, "omp-region"):
+                violations.append(Violation(
+                    "omp-region", path, idx,
+                    f"{what} in src/; brick lanes and service workers are the "
+                    "only parallelism, kernels run on the calling thread"))
 
     # -- trace-vocab -- (raw lines: the span name lives inside a string)
     if in_src:
